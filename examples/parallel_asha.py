@@ -1,16 +1,18 @@
-"""Parallel HPO: real engine-backed execution vs simulated worker scaling.
+"""Parallel HPO: ASHA on serial and process-pool executors, and worker scaling.
 
-ASHA (Li et al., 2018) removes SHA's synchronisation barriers.  This
-example runs it in both of the package's execution modes:
+ASHA (Li et al., 2018) removes SHA's synchronisation barriers.  Every
+searcher runs on :class:`repro.engine.TrialEngine`; this example shows
+two uses of it:
 
-1. **Real execution** through :class:`repro.engine.TrialEngine`: trials
-   are dispatched to a ``SerialExecutor`` or a process-pool
-   ``ParallelExecutor``; per-trial derived seeds keep every evaluation
-   reproducible, the engine memoizes repeated (config, budget) pairs, and
-   ``measured_makespan_`` is actual wall-clock time.
-2. **Simulation** (no engine): ``n_workers`` *virtual* workers advance an
-   event clock by each evaluation's measured cost — useful to ask "how
-   long would this search take on N machines?" without owning them.
+1. **Executors**: trials are dispatched to a ``SerialExecutor`` or a
+   process-pool ``ParallelExecutor``; per-trial derived seeds keep every
+   evaluation reproducible, the engine memoizes repeated (config, budget)
+   pairs, and ``measured_makespan_`` is actual wall-clock time.
+2. **Worker scaling** on the default serial engine: ``n_workers`` trials
+   stay in flight and complete in FIFO order, and ``simulated_makespan_``
+   list-schedules the measured costs onto ``n_workers`` machines — useful
+   to ask "how long would this search take on N machines?" without
+   owning them.
 
 PASHA's progressive rung unlocking is shown alongside: it spends less
 total budget when cheap budgets already rank configurations consistently.
@@ -67,8 +69,8 @@ def main() -> None:
             print(f"{label:<22}{accuracy:>14.4f}{asha.measured_makespan_:>14.2f}"
                   f"{engine.stats.cache_hits:>12}")
 
-    # -- simulated worker scaling ------------------------------------------
-    print("\nsimulated ASHA (virtual workers over an event clock)")
+    # -- worker scaling on the serial engine ---------------------------------
+    print("\nASHA worker scaling (serial engine, list-scheduled makespan)")
     header = f"{'searcher':<10}{'workers':>8}{'best cfg acc':>14}{'work (s)':>10}{'makespan (s)':>14}"
     print(header)
     print("-" * len(header))

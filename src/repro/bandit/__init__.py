@@ -1,9 +1,10 @@
 """Bandit-based hyperparameter-optimization substrate.
 
-Faithful single-process implementations of the methods the paper compares:
-random search, Successive Halving (SHA), HyperBand (HB), BOHB and a
-simulated-asynchronous ASHA.  All of them evaluate configurations through
-the :class:`~repro.bandit.base.ConfigurationEvaluator` protocol — swapping
+Faithful implementations of the methods the paper compares: random
+search, Successive Halving (SHA), HyperBand (HB), BOHB and an asynchronous
+ASHA.  All of them evaluate configurations through one
+:class:`~repro.engine.TrialEngine` over the
+:class:`~repro.bandit.base.ConfigurationEvaluator` protocol — swapping
 in the grouped evaluator from :mod:`repro.core` yields the paper's enhanced
 SHA+/HB+/BOHB+ variants.
 """

@@ -162,20 +162,19 @@ class BaseSearcher:
     random_state:
         Seed for configuration sampling and subset draws.
     engine:
-        Optional :class:`~repro.engine.TrialEngine`.  Without one
-        (default), evaluations run inline against the searcher's shared
-        random stream — the historical behaviour, bit-for-bit.  With one,
-        evaluations are routed through the engine: each trial gets a seed
-        derived from ``(random_state, config, budget)``, enabling
-        memoization, retries and parallel executors while keeping results
-        independent of worker count and completion order.
+        The :class:`~repro.engine.TrialEngine` every evaluation runs
+        through; ``None`` (default) builds ``TrialEngine()``, a
+        :class:`~repro.engine.SerialExecutor` with the evaluation cache.
+        Each trial gets a seed derived from ``(random_state, config,
+        budget)``, so results are independent of executor, worker count,
+        cache and completion order; the searcher's own random stream only
+        samples configurations.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`.  When set, every
         ``fit()`` is wrapped in a ``run`` span, rung batches get ``rung``
-        spans, and each evaluation is recorded as a ``trial`` span with
-        its fold/fit children and metrics — through the engine when one
-        is attached (the engine inherits this telemetry if it has none of
-        its own), or inline otherwise.  Recording never touches the
+        spans, and the engine (which inherits this telemetry if it has
+        none of its own) records each evaluation as a ``trial`` span with
+        its fold/fit children and metrics.  Recording never touches the
         search's random streams, so results stay bit-for-bit identical
         to an uninstrumented run.
     """
@@ -193,7 +192,9 @@ class BaseSearcher:
         self.space = space
         self.evaluator = evaluator
         self.random_state = random_state
-        self.engine = engine
+        from ..engine import TrialEngine  # local import avoids a cycle
+
+        self.engine = engine or TrialEngine()
         self.telemetry = telemetry
         self._rng = np.random.default_rng(random_state)
         self._trials: List[Trial] = []
@@ -201,12 +202,11 @@ class BaseSearcher:
     def _reset(self) -> None:
         self._rng = np.random.default_rng(self.random_state)
         self._trials = []
-        if self.engine is not None:
-            self.engine.bind(
-                self.evaluator,
-                root_seed=self.random_state,
-                metadata=self._run_identity(),
-            )
+        self.engine.bind(
+            self.evaluator,
+            root_seed=self.random_state,
+            metadata=self._run_identity(),
+        )
 
     def _sync_telemetry(self) -> None:
         """Reconcile searcher- and engine-attached telemetry (either way).
@@ -216,10 +216,9 @@ class BaseSearcher:
         telemetry=...)``); whichever side has one shares it with the
         other so spans and metrics land in a single place.
         """
-        engine_telemetry = getattr(self.engine, "telemetry", None)
         if self.telemetry is None:
-            self.telemetry = engine_telemetry
-        elif self.engine is not None and engine_telemetry is None:
+            self.telemetry = self.engine.telemetry
+        elif self.engine.telemetry is None:
             self.engine.telemetry = self.telemetry
 
     def _span(self, name: str, **attrs):
@@ -262,7 +261,7 @@ class BaseSearcher:
         identical to the uninterrupted run's.  Pass the same candidate
         arguments the original run used.
         """
-        if self.engine is None or self.engine.journal is None:
+        if self.engine.journal is None:
             raise RuntimeError(
                 "resume() requires an engine with a journal; pass "
                 "engine=TrialEngine(..., journal=path)"
@@ -276,37 +275,8 @@ class BaseSearcher:
         iteration: int = 0,
         bracket: int = 0,
     ) -> Trial:
-        """Run the evaluator (directly or via the engine) and record the trial."""
-        if self.engine is not None:
-            return self._evaluate_batch([config], budget_fraction, iteration, bracket)[0]
-        if self.telemetry is not None:
-            with self.telemetry.trial(
-                trial_id=len(self._trials),
-                budget_fraction=budget_fraction,
-                iteration=iteration,
-                bracket=bracket,
-            ) as record:
-                result = self.evaluator.evaluate(config, budget_fraction, self._rng)
-                record["attrs"].update(
-                    score=float(result.score),
-                    gamma=float(result.gamma),
-                    cost=float(result.cost),
-                )
-                record["ann"].extend(
-                    event.as_dict() if hasattr(event, "as_dict") else dict(event)
-                    for event in (result.guard_events or [])
-                )
-        else:
-            result = self.evaluator.evaluate(config, budget_fraction, self._rng)
-        trial = Trial(
-            config=config,
-            budget_fraction=budget_fraction,
-            result=result,
-            iteration=iteration,
-            bracket=bracket,
-        )
-        self._trials.append(trial)
-        return trial
+        """Run one evaluation through the engine and record the trial."""
+        return self._evaluate_batch([config], budget_fraction, iteration, bracket)[0]
 
     def _evaluate_batch(
         self,
@@ -315,14 +285,12 @@ class BaseSearcher:
         iteration: int = 0,
         bracket: int = 0,
     ) -> List[Trial]:
-        """Evaluate a rung's worth of configurations, engine-batched if possible.
+        """Evaluate a rung's worth of configurations as one engine batch.
 
-        Without an engine this degrades to the serial loop (identical to
-        calling :meth:`_evaluate` per configuration).  With one, the whole
-        batch is submitted at once so a parallel executor can overlap the
-        evaluations; outcomes come back in request order, so recorded
-        trials keep the exact ordering of the serial path.  Either way
-        the batch is wrapped in a ``rung`` span when telemetry is on.
+        The whole batch is submitted at once so the executor can fuse or
+        overlap the evaluations; outcomes come back in request order, so
+        recorded trials keep the exact ordering of the serial executor.
+        The batch is wrapped in a ``rung`` span when telemetry is on.
         """
         with self._span(
             "rung",
@@ -331,11 +299,6 @@ class BaseSearcher:
             bracket=bracket,
             n_configs=len(configs),
         ):
-            if self.engine is None:
-                return [
-                    self._evaluate(config, budget_fraction, iteration, bracket)
-                    for config in configs
-                ]
             from ..engine.protocol import TrialRequest  # local import avoids a cycle
 
             requests = [
@@ -398,7 +361,6 @@ class BaseSearcher:
             "run",
             searcher=self.method_name,
             root_seed=self.random_state,
-            engine=self.engine is not None,
         ) as span:
             result = self._fit(configurations, n_configurations)
             if span is not None:

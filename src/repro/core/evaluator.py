@@ -459,7 +459,10 @@ class SubsetCVEvaluator:
                 trial_jobs.append(jobs)
                 warms.append(warm or None)
             fit_start = self.clock()
-            per_trial_stats, mega = fit_mlp_trials(trial_jobs, warms)
+            # The first fused trial carries the shared fit's profile, as
+            # it carries the rung's mega-batch summary.
+            with install_collector(fused[0]["collector"]):
+                per_trial_stats, mega = fit_mlp_trials(trial_jobs, warms)
             fit_elapsed = self.clock() - fit_start
             total_folds = sum(stats.folds for stats in per_trial_stats) or 1
             for plan, stats in zip(fused, per_trial_stats):

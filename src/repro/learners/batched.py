@@ -185,21 +185,18 @@ class _FoldPlan:
         self.lane_key = lane_key
 
 
-@profiled("mlp.fit_batched")
 def fit_mlp_folds(
     jobs: Sequence[Tuple[Any, np.ndarray, np.ndarray]],
     warm: Optional[Dict[int, Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]]] = None,
 ) -> BatchedFitStats:
-    """Fit one MLP per fold, batching folds of identical shape.
+    """Fit one trial's fold MLPs: the one-trial case of :func:`fit_mlp_trials`.
 
     Parameters
     ----------
     jobs:
         ``(model, X_train, y_train)`` per fold, in fold order.  Every
-        model must satisfy :func:`batchable_model` and share one
-        hyperparameter configuration (they are the per-fold clones of a
-        single trial); each is fitted in place exactly as ``model.fit``
-        would have.
+        model must satisfy :func:`batchable_model`; each is fitted in
+        place exactly as ``model.fit`` would have.
     warm:
         Optional ``fold_index -> (coefs, intercepts)`` warm starts; a
         fold whose donated shapes mismatch its architecture falls back
@@ -210,28 +207,7 @@ def fit_mlp_folds(
     BatchedFitStats
         Dispatch counters (lanes formed, folds batched vs sequential).
     """
-    stats = BatchedFitStats()
-    stats.folds = len(jobs)
-    plans: List[_FoldPlan] = []
-    for index, (model, X, y) in enumerate(jobs):
-        coefs_init = intercepts_init = None
-        if warm is not None and index in warm:
-            coefs_init, intercepts_init = warm[index]
-        plan = _prepare_fold(model, X, y, coefs_init, intercepts_init)
-        if warm_start_matches(plan.layer_units, coefs_init, intercepts_init):
-            stats.warm_folds += 1
-        plans.append(plan)
-
-    lanes: Dict[Tuple, List[_FoldPlan]] = {}
-    for plan in plans:
-        lanes.setdefault(plan.lane_key, []).append(plan)
-    stats.lanes = len(lanes)
-    for members in lanes.values():
-        if _run_lane(members):
-            stats.batched_folds += len(members)
-        else:
-            stats.sequential_folds += len(members)
-    return stats
+    return fit_mlp_trials([jobs], [warm])[0][0]
 
 
 @profiled("mlp.fit_megabatch")

@@ -1,4 +1,4 @@
-"""Tests for the simulated-asynchronous ASHA."""
+"""Tests for ASHA on the trial engine."""
 
 import numpy as np
 import pytest
@@ -66,6 +66,30 @@ class TestAshaSearch:
             evaluator = SyntheticEvaluator(lambda c: c["q"] / 100, noise=0.03, seed=2)
             outcomes.append(ASHA(quality_space, evaluator, random_state=2, max_started=12).fit())
         assert outcomes[0].best_config == outcomes[1].best_config
+
+    def test_real_evaluator_runs_are_identical(self):
+        # Completion order on the default serial engine is FIFO, so one
+        # seed gives one promotion schedule even when trial costs are
+        # measured wall-clock times.
+        from repro.core import MLPModelFactory, make_searcher
+        from repro.datasets import load_dataset
+        from repro.experiments import paper_search_space
+
+        data = load_dataset("australian", scale=0.3, random_state=0)
+        space = paper_search_space(2)
+        runs = []
+        for _ in range(2):
+            asha = make_searcher(
+                "asha+", space, data.X_train, data.y_train,
+                model_factory=MLPModelFactory(max_iter=10), random_state=0,
+                searcher_kwargs={"n_workers": 4},
+            )
+            runs.append(asha.fit(configurations=space.grid()))
+        first, second = (
+            [(t.key, t.budget_fraction, t.result.score) for t in run.trials] for run in runs
+        )
+        assert first == second
+        assert runs[0].best_config == runs[1].best_config
 
 
 class TestValidation:

@@ -82,6 +82,7 @@ class TestBaseSearcher:
 
     def test_evaluate_records_trial(self, tiny_space, synthetic_evaluator_factory):
         searcher = BaseSearcher(tiny_space, synthetic_evaluator_factory(lambda c: c["a"] / 10))
+        searcher._reset()  # binds the engine, as fit() does
         trial = searcher._evaluate({"a": 3, "b": "x"}, 0.25, iteration=2)
         assert trial.budget_fraction == 0.25
         assert trial.iteration == 2

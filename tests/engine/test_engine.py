@@ -1,20 +1,24 @@
 """TrialEngine integration: determinism, memoization, fault tolerance."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.bandit import ASHA, HyperBand, SuccessiveHalving
 from repro.bandit.base import EvaluationResult
-from repro.core import MLPModelFactory, vanilla_evaluator
+from repro.core import MLPModelFactory, make_searcher, vanilla_evaluator
 from repro.datasets import make_classification
 from repro.engine import (
     FAILURE_SCORE,
     EvaluationCache,
     ParallelExecutor,
+    RunJournal,
     SerialExecutor,
     TrialEngine,
     TrialRequest,
 )
+from repro.serve.jobs import incumbent_fingerprint
 from repro.space import Categorical, SearchSpace
 
 
@@ -108,16 +112,77 @@ class TestBitwiseDeterminism:
         assert _trial_fingerprint(results["serial"]) == _trial_fingerprint(results["parallel"])
         assert results["serial"].best_config == results["parallel"].best_config
 
-    def test_engineless_path_unchanged(self, tiny_problem):
-        # The legacy inline path must not be perturbed by the engine existing.
-        X, y, space, factory = tiny_problem
-        a = SuccessiveHalving(space, vanilla_evaluator(X, y, factory), random_state=7).fit(
-            configurations=space.grid()
-        )
-        b = SuccessiveHalving(space, vanilla_evaluator(X, y, factory), random_state=7).fit(
-            configurations=space.grid()
-        )
-        assert _trial_fingerprint(a) == _trial_fingerprint(b)
+
+def _matrix_searcher(method, problem, engine=None, batched=True):
+    X, y, space, factory = problem
+    return make_searcher(
+        method, space, X, y, model_factory=factory, random_state=5,
+        evaluator_kwargs={"batched": batched}, engine=engine,
+    )
+
+
+@pytest.fixture(scope="module")
+def reference_fingerprint(tiny_problem):
+    """The default path's fingerprint per method: ``make_searcher`` with no engine."""
+    fingerprints = {}
+
+    def lookup(method):
+        if method not in fingerprints:
+            searcher = _matrix_searcher(method, tiny_problem)
+            fingerprints[method] = incumbent_fingerprint(
+                searcher.fit(configurations=tiny_problem[2].grid())
+            )
+        return fingerprints[method]
+
+    return lookup
+
+
+class TestEquivalenceMatrix:
+    """The incumbent depends only on (data, space, searcher, seed).
+
+    Each cell runs one searcher under one execution strategy and must
+    reproduce the default path's incumbent fingerprint.  A resume cell
+    runs to completion with a journal, cuts the journal at a drawn
+    point, resumes, and checks both runs.  ASHA joins on the serial
+    executor only: on a pool it is asynchronous by design, so its
+    promotion schedule follows real completion order.
+    """
+
+    CELLS = [
+        (method, executor, cache, batched, resume)
+        for method in ("sha+", "hb+", "bohb+", "pasha+", "asha+")
+        for executor in ("serial", "parallel2")
+        if method != "asha+" or executor == "serial"
+        for cache in (True, False)
+        for batched in (True, False)
+        for resume in (False, True)
+    ]
+
+    @pytest.mark.parametrize("method,executor,cache,batched,resume", CELLS)
+    def test_cell_matches_default_path(
+        self, tiny_problem, reference_fingerprint, tmp_path, method, executor, cache, batched, resume
+    ):
+        expected = reference_fingerprint(method)
+        grid = tiny_problem[2].grid()
+        journal = tmp_path / "run.wal" if resume else None
+
+        def run(resuming=False):
+            pool = ParallelExecutor(n_workers=2) if executor == "parallel2" else SerialExecutor()
+            with TrialEngine(executor=pool, cache=cache, journal=journal) as engine:
+                searcher = _matrix_searcher(method, tiny_problem, engine, batched)
+                fit = searcher.resume if resuming else searcher.fit
+                return incumbent_fingerprint(fit(configurations=grid)), engine.stats
+
+        fingerprint, _ = run()
+        assert fingerprint == expected
+        if resume:
+            _, entries, _ = RunJournal.read(journal)
+            cut = random.Random(f"{method}/{executor}/{cache}/{batched}").randrange(1, len(entries))
+            lines = journal.read_text().splitlines(True)
+            journal.write_text("".join(lines[: 1 + cut]))
+            resumed, stats = run(resuming=True)
+            assert stats.resumed >= cut
+            assert resumed == expected
 
 
 class TestMemoization:

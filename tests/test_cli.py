@@ -28,8 +28,8 @@ class TestParser:
     def test_engine_flag_defaults(self):
         args = build_parser().parse_args(["tune", "--dataset", "australian"])
         assert args.n_workers == 1
-        assert args.cache is None
-        assert args.max_retries is None
+        assert args.cache is True
+        assert args.max_retries == 1
 
     def test_engine_flags_parse(self):
         args = build_parser().parse_args([

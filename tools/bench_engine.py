@@ -1,9 +1,9 @@
 """Benchmark the trial-execution engine: SHA / HyperBand at 1/2/4 workers.
 
-Times each searcher on the synthetic classification dataset three ways —
-the legacy engine-less inline path (baseline), then through a
-:class:`repro.engine.TrialEngine` with 1, 2 and 4 workers (serial executor
-for 1, process pool otherwise, evaluation cache on) — and writes
+Times each searcher on the synthetic classification dataset two ways —
+a serial :class:`repro.engine.TrialEngine` with the evaluation cache off
+(baseline), then the engine with 1, 2 and 4 workers (serial executor for
+1, process pool otherwise, evaluation cache on) — and writes
 ``BENCH_engine.json`` with wall-clock seconds, speedups versus the
 baseline and cache hit rates, so future PRs have a perf trajectory to
 compare against.
@@ -114,8 +114,8 @@ def build_problem(args):
     return X, y, space, pools, factory
 
 
-def make_searcher(method, space, evaluator, seed, engine=None):
-    """SHA or HB wired to the shared evaluator and optional engine."""
+def make_searcher(method, space, evaluator, seed, engine):
+    """SHA or HB wired to the shared evaluator and engine."""
     if method == "sha":
         return SuccessiveHalving(space, evaluator, random_state=seed, engine=engine)
     return HyperBand(space, evaluator, random_state=seed, engine=engine)
@@ -138,7 +138,10 @@ def bench_method(method, X, y, space, pool, factory, seed, repeats=3):
     memoization cache and time nothing).
     """
     baseline_seconds, baseline_result = timed_median(
-        lambda: run_once(method, X, y, space, pool, factory, seed, engine=None),
+        lambda: run_once(
+            method, X, y, space, pool, factory, seed,
+            engine=TrialEngine(SerialExecutor(), cache=False),
+        ),
         repeats,
     )
     runs = {}
